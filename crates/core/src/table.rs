@@ -329,22 +329,13 @@ impl Table {
         self.pos_of(id).map(|pos| pos as usize)
     }
 
-    /// Appends a tuple with an automatically assigned identifier — the
-    /// insert arm of the in-place mutation API ([`Table::delete_row`],
-    /// [`Table::set_cell`]). Behaviorally identical to [`Table::push`];
-    /// the alias marks call sites that mutate a *live* table rather
-    /// than build a new one.
-    pub fn insert_row(&mut self, tuple: Tuple, weight: f64) -> Result<TupleId> {
-        self.push(tuple, weight)
-    }
-
     /// Removes the row with identifier `id`, returning it. Later rows
     /// shift down one position, so row order is preserved — a mutated
     /// table is indistinguishable from one freshly built in the same
     /// final order, which is what keeps incremental repair reports
     /// byte-identical to cold solves. O(n) in the table size (columns
     /// memmove, identifier index shifts); the identifier is never
-    /// reused — [`Table::insert_row`] keeps counting upward.
+    /// reused — [`Table::push`] keeps counting upward.
     pub fn delete_row(&mut self, id: TupleId) -> Result<Row> {
         let pos = self.pos_of(id).ok_or(Error::UnknownTupleId { id: id.0 })? as usize;
         for col in &mut self.cols {
@@ -368,13 +359,6 @@ impl Table {
             }
         }
         Ok(row)
-    }
-
-    /// Replaces the value of one cell, returning the old value — the
-    /// O(1) edit arm of the in-place mutation API. Alias of
-    /// [`Table::set_value`] under the mutation vocabulary.
-    pub fn set_cell(&mut self, id: TupleId, attr: AttrId, value: Value) -> Result<Value> {
-        self.set_value(id, attr, value)
     }
 
     /// Replaces the value of one cell; returns the old value (O(1)).

@@ -70,7 +70,7 @@ impl DichotomyReport {
 
 /// Connected-component statistics of a sharded subset solve: how the
 /// conflict graph decomposed and which method covered how many
-/// components. Attached to subset reports produced by the sharded path;
+/// components. Attached to every subset report the planner produces;
 /// `None` elsewhere.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ComponentReport {
@@ -391,8 +391,9 @@ pub struct RepairReport {
     pub cost: f64,
     /// Where `Δ` falls in the complexity landscape.
     pub dichotomy: DichotomyReport,
-    /// Conflict-graph component statistics of the sharded subset path;
-    /// `None` for other notions and for the legacy whole-table path.
+    /// Conflict-graph component statistics, present on every subset
+    /// report the planner produces; `None` for other notions and for the
+    /// constraint/prioritized extension reports.
     pub components: Option<ComponentReport>,
     /// Wall-clock timings.
     pub timings: Timings,

@@ -44,7 +44,7 @@ pub struct IncrementalSession {
 
 impl IncrementalSession {
     /// Whether the delta engine can serve `(fds, request)` without ever
-    /// falling back to a cold solve on large tables.
+    /// falling back to a cold solve.
     ///
     /// Eligible means: the subset notion (the dichotomy's component
     /// decomposition is what the cache exploits), an FD set without a
@@ -109,17 +109,11 @@ impl IncrementalSession {
     /// The current repair report, bit-identical to a cold
     /// [`Planner::run`] on [`table`](IncrementalSession::table) except
     /// for [`Timings`], which a session always zeroes (see the module
-    /// docs). Splices cached component solutions when the delta engine
-    /// is active and the table is at or above the sharding threshold;
-    /// otherwise delegates to the cold path — below
-    /// `budgets.shard_min_rows` the planner's legacy whole-table arm
-    /// picks different methods and omits component statistics, so only
-    /// the cold path reproduces its bytes.
+    /// docs). Splices cached component solutions whenever the delta
+    /// engine is active; only an ineligible session solves cold.
     pub fn report(&self) -> Result<RepairReport, EngineError> {
         if let Some(inc) = &self.inc {
-            if Planner::shards(&self.table, &self.request) {
-                return self.spliced_report(inc);
-            }
+            return self.spliced_report(inc);
         }
         let mut report = Planner.run(&self.table, &self.fds, &self.request)?;
         report.timings = Timings::default();
@@ -127,7 +121,7 @@ impl IncrementalSession {
     }
 
     /// Assembles the report from the delta engine's cached state,
-    /// mirroring the sharded subset arm of [`Planner::run`] — including
+    /// mirroring the subset arm of [`Planner::run`] — including
     /// its post-solve guarantee checks — without touching a solver for
     /// any clean component.
     fn spliced_report(&self, inc: &IncrementalSubset) -> Result<RepairReport, EngineError> {
@@ -294,11 +288,37 @@ mod tests {
     }
 
     #[test]
-    fn below_shard_threshold_falls_back_to_the_cold_arm() {
-        // shard_min_rows far above the table size: every report takes
-        // the cold fallback, and still matches Planner::run bytes.
-        let request = RepairRequest::subset().shard_min_rows(1_000);
-        assert_trace_parity("A -> B", &request, 0xFA11, 25);
+    fn eligible_sessions_always_splice_and_never_solve_cold() {
+        // Whatever the table size, an incremental session answers every
+        // report from its cache: the trace shows the splice span and no
+        // cold solve, and the bytes still match a cold Planner::run.
+        let request = RepairRequest::subset();
+        for (i, spec) in ["A -> B", "A -> C; B -> C"].iter().enumerate() {
+            let fds = FdSet::parse(&schema(), spec).unwrap();
+            for rows in [0, 1, 30] {
+                let mut rng = StdRng::seed_from_u64(0x5011 + (i * 100 + rows) as u64);
+                let table = random_table(&mut rng, rows);
+                let mut session = IncrementalSession::new(table, fds.clone(), request).unwrap();
+                assert!(session.is_incremental(), "{spec} on {rows} rows");
+                for step in 0..6 {
+                    if step > 0 {
+                        let m = random_mutation(&mut rng, session.table());
+                        session.apply(&m).unwrap();
+                    }
+                    let collector = fd_trace::Collector::default();
+                    let guard = collector.install();
+                    let got = session.report().unwrap().to_json();
+                    drop(guard);
+                    let spans: Vec<&str> = collector.events().iter().map(|e| e.name).collect();
+                    let ctx = format!("{spec} on {rows} rows, step {step}: {spans:?}");
+                    assert!(spans.contains(&"engine/incremental_report"), "{ctx}");
+                    assert!(!spans.contains(&"engine/solve"), "{ctx}");
+                    let mut cold = Planner.run(session.table(), &fds, &request).unwrap();
+                    cold.timings = Timings::default();
+                    assert_eq!(got, cold.to_json(), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -903,7 +903,6 @@ fn hash_request_knobs(h: &mut Fnv64, request: &RepairRequest) {
         exact_node_budget,
         time_cap_ms,
         threads,
-        shard_min_rows,
         component_exact_limit,
     } = request.budgets;
     h.write_usize(exact_fallback_limit);
@@ -911,7 +910,6 @@ fn hash_request_knobs(h: &mut Fnv64, request: &RepairRequest) {
     h.write_u64(exact_node_budget);
     time_cap_ms.hash(h);
     h.write_usize(threads);
-    h.write_usize(shard_min_rows);
     h.write_usize(component_exact_limit);
     h.write_u64(request.mixed_costs.delete.to_bits());
     h.write_u64(request.mixed_costs.update.to_bits());
@@ -1018,7 +1016,6 @@ fn parse_request(req: &Json) -> Result<(RepairRequest, bool), WireError> {
                 "exact_node_budget" => b.exact_node_budget = as_usize(key, value)? as u64,
                 "time_cap_ms" => b.time_cap_ms = Some(as_usize(key, value)? as u64),
                 "threads" => b.threads = as_usize(key, value)?,
-                "shard_min_rows" => b.shard_min_rows = as_usize(key, value)?,
                 "component_exact_limit" => b.component_exact_limit = as_usize(key, value)?,
                 other => {
                     return Err(WireError::new(format!("unknown budget field {other:?}")));
@@ -1084,18 +1081,9 @@ fn request_to_json(request: &RepairRequest, include_timings: bool) -> Json {
         ),
         ("threads", request.budgets.threads.into()),
         (
-            "shard_min_rows",
-            // The builders clamp to WIRE_INT_MAX; clamp again here so
-            // even hand-built Budgets literals serialize parseably.
-            Json::Num(
-                request
-                    .budgets
-                    .shard_min_rows
-                    .min(crate::request::WIRE_INT_MAX) as f64,
-            ),
-        ),
-        (
             "component_exact_limit",
+            // The builder clamps to WIRE_INT_MAX; clamp again here so
+            // even hand-built Budgets literals serialize parseably.
             Json::Num(
                 request
                     .budgets
@@ -1199,6 +1187,14 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_removed_sharding_threshold_is_an_unknown_budget_field() {
+        let doc =
+            r#"{"attrs": ["A"], "rows": [[1]], "request": {"budgets": {"shard_min_rows": 0}}}"#;
+        let err = RepairCall::parse(doc, &JsonLimits::UNTRUSTED).unwrap_err();
+        assert_eq!(err.message, r#"unknown budget field "shard_min_rows""#);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Engine adapter: a plan/solve split over the subset-repair methods,
-//! consumed by the `fd-engine` planner.
+//! A plan/solve split over the whole-table subset-repair methods.
 //!
 //! [`SRepairSolver::solve`](crate::SRepairSolver::solve) fuses strategy
-//! selection and execution; the engine needs them apart so it can
-//! `explain()` a plan without running it, override the choice to honor
-//! an optimality requirement, and attach uniform provenance. The
+//! selection and execution; splitting them lets a caller override the
+//! planned method (e.g. force exactness) and read a method's guarantee
+//! without running it — the `fd-engine` planner quotes
+//! [`subset_guarantees`] in its plan steps, and the whole-table solve is
+//! the reference its component-sharded subset arm is tested against. The
 //! invariant `solve_subset(t, Δ, subset_strategy(Δ, |t|, k)) ≡
 //! SRepairSolver { exact_fallback_limit: k }.solve(t, Δ)` is pinned by a
 //! test below.
@@ -12,7 +13,6 @@
 use crate::approx::approx_s_repair;
 use crate::exact::exact_s_repair;
 use crate::optsrepair::opt_s_repair;
-use crate::parallel::{par_opt_s_repair, ParallelConfig};
 use crate::solver::{SMethod, SSolution};
 use crate::succeeds::osr_succeeds;
 use fd_core::{FdSet, Table};
@@ -44,33 +44,7 @@ pub fn subset_guarantees(method: SMethod) -> (bool, f64) {
 /// Panics if `method` is [`SMethod::Dichotomy`] but `OSRSucceeds(Δ)`
 /// fails — plan with [`subset_strategy`] to avoid this.
 pub fn solve_subset(table: &Table, fds: &FdSet, method: SMethod) -> SSolution {
-    solve_subset_threaded(table, fds, method, 1)
-}
-
-/// [`solve_subset`] with a worker-thread count: the [`SMethod::Dichotomy`]
-/// path runs [`par_opt_s_repair`] when `threads != 1` (`0` = ask the OS),
-/// producing the identical repair — same kept ids, same cost — as the
-/// sequential recursion. The exact and approximate methods are
-/// single-threaded regardless.
-///
-/// # Panics
-/// Panics if `method` is [`SMethod::Dichotomy`] but `OSRSucceeds(Δ)`
-/// fails — plan with [`subset_strategy`] to avoid this.
-pub fn solve_subset_threaded(
-    table: &Table,
-    fds: &FdSet,
-    method: SMethod,
-    threads: usize,
-) -> SSolution {
     let repair = match method {
-        SMethod::Dichotomy if threads != 1 => {
-            let config = ParallelConfig {
-                threads,
-                ..ParallelConfig::default()
-            };
-            par_opt_s_repair(table, fds, &config)
-                .expect("planned Dichotomy requires OSRSucceeds(Δ) (Theorem 3.4)")
-        }
         SMethod::Dichotomy => opt_s_repair(table, fds)
             .expect("planned Dichotomy requires OSRSucceeds(Δ) (Theorem 3.4)"),
         SMethod::ExactVertexCover => exact_s_repair(table, fds),
@@ -117,20 +91,6 @@ mod tests {
             assert_eq!(planned.ratio, legacy.ratio, "{spec}");
             assert_eq!(planned.repair.cost, legacy.repair.cost, "{spec}");
             planned.repair.verify(&t, &fds);
-        }
-    }
-
-    #[test]
-    fn threaded_solve_matches_sequential() {
-        let s = schema_rabc();
-        let fds = FdSet::parse(&s, "A -> B C").unwrap();
-        let t = dirty_table(40);
-        let seq = solve_subset(&t, &fds, SMethod::Dichotomy);
-        for threads in [0, 2, 4] {
-            let par = solve_subset_threaded(&t, &fds, SMethod::Dichotomy, threads);
-            assert_eq!(par.repair.kept, seq.repair.kept, "threads={threads}");
-            assert_eq!(par.repair.cost, seq.repair.cost);
-            assert_eq!(par.method, seq.method);
         }
     }
 

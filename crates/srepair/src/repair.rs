@@ -21,13 +21,14 @@ impl SRepair {
         // Membership through the table's dense position index — no
         // hashing; the deleted weights still sum in row order, so the
         // floating-point total is bit-identical to a filtered row scan.
+        // The fold starts at +0.0: `Sum for f64` starts at -0.0, so a
+        // repair that deletes nothing would report `dist_sub = -0`.
         let mask = table.position_mask(kept.iter());
         let cost = table
             .rows()
             .zip(mask.iter())
             .filter(|(_, &in_kept)| !in_kept)
-            .map(|(r, _)| r.weight)
-            .sum();
+            .fold(0.0, |acc, (r, _)| acc + r.weight);
         SRepair { kept, cost }
     }
 

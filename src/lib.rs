@@ -58,24 +58,9 @@
 //! assert_eq!(json.get("cost").unwrap().as_num(), Some(2.0));
 //! ```
 //!
-//! ## Migrating from the solver facades
-//!
-//! The pre-engine entry points remain available but deprecated:
-//!
-//! | old | new |
-//! |---|---|
-//! | `SRepairSolver::default().solve(&t, &fds)` | `Planner.run(&t, &fds, &RepairRequest::subset())` |
-//! | `SRepairSolver { exact_fallback_limit: n }` | `RepairRequest::subset().exact_fallback_limit(n)` |
-//! | `URepairSolver::default().solve(&t, &fds)` | `Planner.run(&t, &fds, &RepairRequest::update())` |
-//! | `URepairSolver { exact_row_limit: n, exact_node_budget: b }` | `RepairRequest::update().exact_row_limit(n).exact_node_budget(b)` |
-//! | `exact_mixed_repair(&t, &fds, costs, &cfg)` | `Planner.run(&t, &fds, &RepairRequest::mixed(costs).optimality(Optimality::Exact))` |
-//! | `most_probable_database(&ProbTable::new(t)?, &fds)` | `Planner.run(&t, &fds, &RepairRequest::mpd())` |
-//! | `count_subset_repairs` / `count_optimal_s_repairs` | `Planner.run(&t, &fds, &RepairRequest::new(Notion::Count))` |
-//! | `sample_subset_repair(&t, &fds, &mut rng)` | `Planner.run(&t, &fds, &RepairRequest::new(Notion::Sample).seed(s))` |
-//!
-//! The solver result types (`SSolution`, `USolution`, method enums) stay
-//! exported for the underlying algorithm APIs, which remain public and
-//! un-deprecated — the engine is a front door, not a wall.
+//! The underlying algorithm APIs (`opt_s_repair`, `SRepairSolver`,
+//! `URepairSolver`, …) remain public in their crates — the engine is a
+//! front door, not a wall.
 //!
 //! `ARCHITECTURE.md` (repo root) maps the crate topology and data flow;
 //! `docs/API.md` documents the HTTP surface `fdrepair serve` exposes.
@@ -137,23 +122,6 @@ pub mod prelude {
         ratio_ours, two_cycle_u_repair, DomainPolicy, ExactConfig, MixedCosts, MixedRepair,
         UMethod, URepair, USolution,
     };
-
-    /// Deprecated shim: the legacy subset-repair facade.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Planner.run(&table, &fds, &RepairRequest::subset())`; \
-                the `exact_fallback_limit` knob lives on `RepairRequest` now"
-    )]
-    pub type SRepairSolver = fd_srepair::SRepairSolver;
-
-    /// Deprecated shim: the legacy update-repair facade.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Planner.run(&table, &fds, &RepairRequest::update())`; \
-                the `exact_row_limit`/`exact_node_budget` knobs live on \
-                `RepairRequest` now"
-    )]
-    pub type URepairSolver = fd_urepair::URepairSolver;
 }
 
 pub use prelude::*;

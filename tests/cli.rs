@@ -200,6 +200,9 @@ fn exit_codes_distinguish_usage_io_and_success() {
     assert_eq!(fdrepair_code(&["srepair", path, "--bogus"]).2, 2);
     assert_eq!(fdrepair_code(&["repair", path, "--notion", "nope"]).2, 2);
     assert_eq!(fdrepair_code(&["repair", path, "--notion"]).2, 2);
+    // The removed sharding flag is an unknown flag like any other.
+    assert_eq!(fdrepair_code(&["repair", path, "--no-shard"]).2, 2);
+    assert_eq!(fdrepair_code(&["fuzz", "--no-shard"]).2, 2);
     // 1: I/O and data errors.
     assert_eq!(fdrepair_code(&["check", "/nonexistent/nope.fdr"]).2, 1);
     let bad = write_temp("cli_exitcodes_bad.fdr", "relation R\nattrs A\nrow x | 1\n");
@@ -389,4 +392,32 @@ fn fuzz_usage_errors() {
     assert_eq!(code, 2);
     let (_, _, code) = fdrepair_code(&["fuzz", "--max-rows", "-1"]);
     assert_eq!(code, 2);
+}
+
+#[test]
+fn a_repair_that_deletes_nothing_reports_positive_zero() {
+    // `Sum for f64` starts at -0.0; an empty deletion set must still
+    // print `dist_sub = 0`, through the cold path and the delta engine.
+    let path = write_temp(
+        "cli_consistent.fdr",
+        "relation R\nattrs A B\nfd A -> B\nrow 1 | 1 | 2\nrow 1 | 2 | 3\nrow 2 | 3 | 4\n",
+    );
+    let path = path.to_str().unwrap();
+    let (out, err, ok) = fdrepair(&["srepair", path]);
+    assert!(ok, "{err}");
+    assert!(
+        out.contains("delete 0 tuple(s), dist_sub = 0\n"),
+        "got:\n{out}"
+    );
+    let trace = write_temp(
+        "cli_consistent.trace",
+        r#"[{"op": "set", "id": 0, "attr": "A", "value": 5}]"#,
+    );
+    let (out, err, ok) = fdrepair(&["mutate", path, "--mutations", trace.to_str().unwrap()]);
+    assert!(ok, "{err}");
+    assert!(out.contains("served by the delta engine"), "got:\n{out}");
+    assert!(
+        out.contains("delete 0 tuple(s), dist_sub = 0\n"),
+        "got:\n{out}"
+    );
 }

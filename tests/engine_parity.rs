@@ -21,7 +21,7 @@ fn one_call_path_matches_every_legacy_solver_on_office() {
 
     // S-repair: engine vs legacy solver facade.
     let s_report = Planner.run(t, fds, &RepairRequest::subset()).unwrap();
-    let s_legacy = fd_repairs::srepair::SRepairSolver::default().solve(t, fds);
+    let s_legacy = fd_srepair::SRepairSolver::default().solve(t, fds);
     assert_eq!(s_report.cost, s_legacy.repair.cost);
     assert_eq!(s_report.optimal, s_legacy.optimal);
     assert_eq!(s_report.methods, vec![format!("{:?}", s_legacy.method)]);
@@ -29,7 +29,7 @@ fn one_call_path_matches_every_legacy_solver_on_office() {
 
     // U-repair: engine vs legacy solver facade.
     let u_report = Planner.run(t, fds, &RepairRequest::update()).unwrap();
-    let u_legacy = fd_repairs::urepair::URepairSolver::default().solve(t, fds);
+    let u_legacy = fd_urepair::URepairSolver::default().solve(t, fds);
     assert_eq!(u_report.cost, u_legacy.repair.cost);
     assert_eq!(u_report.optimal, u_legacy.optimal);
     assert_eq!(u_report.cost, 2.0); // Example 4.7
@@ -89,21 +89,6 @@ fn update_and_subset_reports_apply_cleanly_on_sensors() {
         let repaired = report.repaired().unwrap();
         assert!(repaired.satisfies(&inst.fds), "{:?}", request.notion);
     }
-}
-
-#[test]
-fn deprecated_solver_shims_still_resolve() {
-    // The old names keep compiling (deprecated type aliases), and their
-    // results still agree with the engine.
-    #![allow(deprecated)]
-    let inst = fixture("office.fdr");
-    let legacy = SRepairSolver::default().solve(&inst.table, &inst.fds);
-    let report = Planner
-        .run(&inst.table, &inst.fds, &RepairRequest::subset())
-        .unwrap();
-    assert_eq!(legacy.repair.cost, report.cost);
-    let legacy_u = URepairSolver::default().solve(&inst.table, &inst.fds);
-    assert_eq!(legacy_u.repair.cost, report.cost);
 }
 
 #[test]
